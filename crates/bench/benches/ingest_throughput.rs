@@ -80,12 +80,10 @@ fn bench(c: &mut Criterion) {
     );
 
     // A9: sharded-fold scaling under a durable WAL. Same workload at
-    // every point; only the worker count and fsync cadence move. The
-    // 1-shard point is the legacy inline merger (fsync on the fold
-    // thread); every other point is the sharded fold with per-shard
-    // segment series and group-committed fsyncs. Under `Always` that
-    // pairing is where the win lives: the single merger serializes one
-    // fsync per batch while the workers' sync tickets coalesce into
+    // every point; only the worker count and fsync cadence move. Every
+    // point runs the same fold engine — per-shard segment series (the
+    // unnumbered series at 1 shard) with group-committed fsyncs — so
+    // under `Always` concurrent workers' sync tickets coalesce into
     // shared group-commit cycles. Best of three rounds per point to
     // shave scheduler noise.
     for (cadence, fsync) in [

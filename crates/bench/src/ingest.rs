@@ -56,7 +56,8 @@ pub struct IngestSession {
     pub n_conns: u32,
     /// Total events across all connections.
     pub total_events: usize,
-    /// Fold shards (`1` = the legacy single merger).
+    /// Fold workers in the collector's shard plan (`1` = the default
+    /// one-worker plan).
     pub shards: u32,
     /// Journal configuration; `None` streams without a WAL.
     pub wal: Option<WalConfig>,

@@ -28,9 +28,11 @@
 //! anomaly (or fetched with `DumpReq`) stitch into causal timelines
 //! with `cpvr-trace`.
 //!
-//! `--shards N` shards the merger fold across N worker threads (each
-//! with its own WAL segment series and group-committed fsyncs); the
-//! final state is provably identical to the single-merger default.
+//! `--shards N` shards the fold across N worker threads (the default is
+//! one); each worker owns its own WAL segment series with
+//! group-committed fsyncs. At every shard count the final state is
+//! checked against the in-process reference fold replayed from the
+//! WAL.
 //!
 //! `--federate N` runs N peer-connected collector *processes-worth* of
 //! members instead of one daemon: each member owns a router subset,
@@ -76,7 +78,7 @@ fn main() -> std::io::Result<()> {
                      \x20 --metrics-interval SECS  scrape the daemon(s) every SECS seconds and\n\
                      \x20                          print ingest rate, lag, wal fsync p99, and\n\
                      \x20                          flight-recorder state (dumps written, stall)\n\
-                     \x20 --shards N               shard the merger fold across N workers\n\
+                     \x20 --shards N               shard the fold across N workers\n\
                      \x20 --federate N             run N peer-connected members (excludes --shards)\n\
                      \x20 --trace-every N          sample every Nth event per router for causal\n\
                      \x20                          tracing (v3 trailer; stitch dumps with cpvr-trace)\n\

@@ -1,6 +1,7 @@
 //! The threaded TCP collector: accepts one connection per router,
 //! merges the per-router frame streams into watermark order, journals
-//! everything through the WAL, and drives the [`IngestPipeline`].
+//! everything through the WAL, and folds it through the shard plan's
+//! workers (see [`crate::shard`]).
 //!
 //! ## Threading model
 //!
@@ -9,55 +10,61 @@
 //! - an **accept thread** polls a nonblocking listener and spawns one
 //!   **reader thread** per connection;
 //! - reader threads decode frames through the resynchronizing
-//!   [`Decoder`] (the CPU-heavy JSON parse happens here, in parallel
-//!   across connections) and push typed messages into a **bounded**
-//!   channel — when the merger falls behind, readers block, TCP windows
-//!   fill, and backpressure reaches the senders. A corrupt frame is
-//!   *quarantined* (counted, skipped, the reader resynchronizes); only
-//!   protocol violations (bad hello, garbage that passed its CRC) kill
-//!   a connection;
-//! - a single **merger thread** owns the WAL, the pipeline, and its
+//!   [`Decoder`] (the CPU-heavy parse happens here, in parallel across
+//!   connections) and push typed messages into a **bounded** channel —
+//!   when the merger falls behind, readers block, TCP windows fill, and
+//!   backpressure reaches the senders. A corrupt frame is *quarantined*
+//!   (counted, skipped, the reader resynchronizes); only protocol
+//!   violations (bad hello, garbage that passed its CRC) kill a
+//!   connection;
+//! - a single **merger thread** (the shard coordinator) owns the
 //!   [`SourceTable`]. It deduplicates events by per-source sequence
 //!   number, applies frontier-gated watermark promises, and folds
 //!   events only up to the *minimum* applied promise over all
 //!   non-evicted sources, which is the merge point at which the global
 //!   `(time, id)` order is known — the precondition for
-//!   [`HbgBuilder::advance`]'s deterministic sweep. It also writes
-//!   [`Frame::Ack`] frames back to each client so they can prune their
-//!   replay buffers, and runs the **liveness leases**: a source silent
-//!   past [`LeaseConfig::lagging_after`] is flagged, one silent past
+//!   [`HbgBuilder::advance`]'s deterministic sweep. It also runs the
+//!   **liveness leases**: a source silent past
+//!   [`LeaseConfig::lagging_after`] is flagged, one silent past
 //!   [`LeaseConfig::evict_after`] is evicted from the watermark gate
 //!   (journaled, and re-admitted on its next handshake) so one dead
-//!   router cannot stall verification forever.
+//!   router cannot stall verification forever;
+//! - one **fold worker** per shard of the plan (one by default, run on
+//!   the merger thread; several get a thread each) owns a
+//!   WAL segment series, the fold state for its routers, and their
+//!   connections' ack sockets, so it writes [`Frame::Ack`] frames back
+//!   to each client for replay-buffer pruning.
 //!
 //! ## Durability ordering
 //!
-//! The merger appends an event's wire frame to the WAL *before*
-//! ingesting it, a (global) watermark frame *before* advancing, and an
-//! eviction/re-admission frame *before* changing the gate — and an ack
-//! is only sent *after* the events it covers were journaled. The log is
-//! therefore always at least as complete as the in-memory state, so
-//! replaying it (see [`IngestPipeline::recover`]) reconstructs the
-//! pre-crash pipeline exactly: at-least-once logging plus sequence
+//! A worker appends an event's wire frame to the WAL *before* ingesting
+//! it, a (global) watermark frame *before* advancing, and an
+//! eviction/re-admission frame *before* the gate change takes effect in
+//! its series — and an ack is only sent *after* the events it covers
+//! were journaled and committed. The log is therefore always at least
+//! as complete as the in-memory state, so replaying it reconstructs the
+//! pre-crash fold exactly: at-least-once logging plus sequence
 //! deduplication plus a deterministic fold is effectively exactly-once
-//! recovery.
+//! recovery. [`IngestPipeline::recover`] is the monolithic reference
+//! for that replay.
 //!
 //! [`HbgBuilder::advance`]: cpvr_core::builder::HbgBuilder::advance
 //! [`SourceTable`]: crate::pipeline::SourceTable
 //! [`Decoder`]: crate::codec::Decoder
+//! [`IngestPipeline::recover`]: crate::pipeline::IngestPipeline::recover
 
 use crate::codec::{
     encode_frame, DecodedMsg, Decoder, Frame, Hello, PeerHello, RepairRecord, RepairStage, VERSION,
 };
 use crate::federation::{member_loop, recover_member, CollectorRole, FederationConfig, PeerFrame};
-use crate::group_commit::{GroupCommit, GroupCommitHandle};
+use crate::group_commit::GroupCommitHandle;
 use crate::metrics::{CollectorMetrics, DEFAULT_SPAN_SAMPLE};
-use crate::pipeline::{IngestPipeline, Offer, PipelineConfig, RecoveryReport, SourceState};
-use crate::shard::{coordinator_loop, FoldReport};
-use crate::wal::{FsyncPolicy, Wal, WalConfig, WalMetrics};
+use crate::pipeline::{PipelineConfig, RecoveryReport};
+use crate::shard::{Coordinator, FoldReport};
+use crate::wal::{Wal, WalConfig};
 use cpvr_core::ShardPlan;
 use cpvr_obs::trace::stage;
-use cpvr_obs::{ExpoFormat, FlightDump, RingHandle, Snapshot, Stage};
+use cpvr_obs::{ExpoFormat, FlightDump, RingHandle, Snapshot};
 use cpvr_sim::IoEvent;
 use cpvr_types::trace::TRACE_CTX_WIRE_LEN;
 use cpvr_types::{RouterId, SimTime, TraceCtx};
@@ -65,7 +72,7 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -141,23 +148,21 @@ pub struct CollectorConfig {
     /// Event-flight span sampling stride: one in this many sequence
     /// numbers per source gets a causal latency breakdown.
     pub span_sample: u64,
-    /// How many fold workers to shard the merger across. `1` (the
-    /// default) runs the legacy single-merger path; `N > 1` partitions
-    /// routers and conversations across `N` worker threads joined by a
-    /// two-phase watermark barrier (see [`crate::shard`]), each with its
-    /// own WAL segment series and group-committed fsyncs.
-    pub shards: u32,
-    /// The partition to shard by. `None` uses
-    /// [`ShardPlan::uniform`]`(shards)`; deployments that know their
-    /// prefix layout should pass
+    /// The partition the fold runs over — and the one source of truth
+    /// for the shard count. The default [`ShardPlan::uniform`]`(1)` runs
+    /// one fold worker; `N > 1` shards partition routers and
+    /// conversations across `N` workers joined by a two-phase watermark
+    /// barrier (see [`crate::shard`]). Either way each worker owns its
+    /// own WAL segment series with group-committed fsyncs. Deployments
+    /// that know their prefix layout should pass
     /// [`ShardPlan::from_union_trie`]/[`ShardPlan::from_prefixes`] so
     /// conversation ownership follows prefix ranges.
-    pub plan: Option<ShardPlan>,
+    pub plan: ShardPlan,
     /// Runs this collector as one member of a federation: it folds only
     /// the routers its [`FederationPlan`](cpvr_core::FederationPlan)
     /// assigns to it and exchanges frontiers, boundary edges, and
     /// partial verdicts with its peers (see [`crate::federation`]).
-    /// Requires a WAL and `shards == 1`.
+    /// Requires a WAL and a one-shard plan.
     pub federation: Option<FederationConfig>,
 }
 
@@ -173,8 +178,7 @@ impl CollectorConfig {
             wal: None,
             metrics: true,
             span_sample: DEFAULT_SPAN_SAMPLE,
-            shards: 1,
-            plan: None,
+            plan: ShardPlan::uniform(1),
             federation: None,
         }
     }
@@ -205,24 +209,22 @@ impl CollectorConfig {
         self
     }
 
-    /// Shards the merger fold across `shards` worker threads (uniform
-    /// router partition unless [`Self::with_plan`] overrides it).
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.shards = shards.max(1);
-        self
+    /// Folds across `shards` worker threads under a uniform router
+    /// partition ([`ShardPlan::uniform`]).
+    pub fn with_shards(self, shards: u32) -> Self {
+        self.with_plan(ShardPlan::uniform(shards.max(1)))
     }
 
-    /// Shards the merger fold by an explicit [`ShardPlan`] (e.g. built
-    /// from the deployment's union prefix trie).
+    /// Folds by an explicit [`ShardPlan`] (e.g. built from the
+    /// deployment's union prefix trie).
     pub fn with_plan(mut self, plan: ShardPlan) -> Self {
-        self.shards = plan.shards();
-        self.plan = Some(plan);
+        self.plan = plan;
         self
     }
 
     /// Runs this collector as one federation member (see
     /// [`crate::federation`]). [`Collector::start`] rejects the config
-    /// unless a WAL is configured and `shards == 1` — a member *is* a
+    /// unless a WAL is configured and the plan has one shard — a member *is* a
     /// shard of the federation, and its durability story (regenerating
     /// outbound peer traffic on recovery) requires the journal.
     pub fn with_federation(mut self, fed: FederationConfig) -> Self {
@@ -232,7 +234,7 @@ impl CollectorConfig {
 }
 
 /// Live counters, observable while the collector runs. Shared with the
-/// sharded coordinator in [`crate::shard`].
+/// coordinator in [`crate::shard`] and federation members.
 #[derive(Default)]
 pub(crate) struct SharedStats {
     pub(crate) connections: AtomicU64,
@@ -425,7 +427,7 @@ const CRC_BURST_THRESHOLD: u64 = 32;
 /// Traced events the merger holds between journaling and the watermark
 /// advance that folds them (overflow simply drops the oldest stamp —
 /// tracing is best-effort by design).
-const TRACED_PENDING_MAX: usize = 1024;
+pub(crate) const TRACED_PENDING_MAX: usize = 1024;
 
 /// The flight-recorder stage code for one repair-lifecycle stage.
 pub(crate) fn repair_stage_code(s: RepairStage) -> u32 {
@@ -442,7 +444,7 @@ pub(crate) fn repair_stage_code(s: RepairStage) -> u32 {
 /// Emits one repair-lifecycle flight record (minting the deterministic
 /// repair trace when the journaled record carries none) and, when the
 /// gate came back DIVERGED or ERROR, freezes an anomaly dump. Shared by
-/// the merger, the sharded coordinator, and federation members.
+/// the standalone coordinator and federation members.
 pub(crate) fn flight_repair_record(
     record: &RepairRecord,
     flight: Option<&RingHandle>,
@@ -540,8 +542,9 @@ impl StallWatch {
 
 /// The final accounting returned by [`CollectorHandle::shutdown`].
 pub struct CollectorReport {
-    /// The verification state at shutdown — the legacy pipeline for
-    /// `shards = 1`, the merged shard states otherwise.
+    /// The verification state at shutdown: the merged state of the
+    /// plan's fold workers (one or many), or a federation member's
+    /// slice.
     pub pipeline: FoldReport,
     /// Final counters.
     pub stats: CollectorStats,
@@ -596,7 +599,7 @@ impl Collector {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
 
-        let shards = cfg.shards.max(1);
+        let shards = cfg.plan.shards();
         if let Some(fed) = &cfg.federation {
             let bad = |why: &str| Err(io::Error::new(io::ErrorKind::InvalidInput, why));
             if shards != 1 {
@@ -638,17 +641,6 @@ impl Collector {
                 m.flight.set_member(i64::from(fed.member));
             }
         }
-        let wal_metrics = |m: &Arc<CollectorMetrics>| {
-            let r = &m.registry;
-            WalMetrics {
-                appends: r.counter("cpvr_wal_appends_total"),
-                bytes: r.counter("cpvr_wal_bytes_total"),
-                syncs: r.counter("cpvr_wal_syncs_total"),
-                rotations: r.counter("cpvr_wal_rotations_total"),
-                fsync_nanos: r.histogram("cpvr_wal_fsync_nanos"),
-            }
-        };
-
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(SharedStats::default());
         let (tx, rx) = std::sync::mpsc::sync_channel::<Msg>(cfg.channel_capacity.max(1));
@@ -666,7 +658,7 @@ impl Collector {
             let (state, report) = recover_member(&cfg, fed, &wal_cfg)?;
             let mut wal = Wal::open(wal_cfg)?;
             if let Some(m) = &metrics {
-                wal.set_metrics(wal_metrics(m));
+                wal.set_metrics(m.wal_metrics());
             }
             let merger = {
                 let stats = Arc::clone(&stats);
@@ -679,117 +671,16 @@ impl Collector {
                 )?
             };
             (merger, Some(report))
-        } else if shards == 1 {
-            // The legacy single-merger path, byte for byte: the sharded
-            // fold's correctness oracle.
-            let (pipeline, recovery, wal) = match &cfg.wal {
-                Some(wal_cfg) => {
-                    let (pipeline, report) = IngestPipeline::recover(cfg.pipeline, &wal_cfg.dir)?;
-                    let mut wal = Wal::open(wal_cfg.clone())?;
-                    if let Some(m) = &metrics {
-                        wal.set_metrics(wal_metrics(m));
-                    }
-                    (pipeline, Some(report), Some(wal))
-                }
-                None => (IngestPipeline::new(cfg.pipeline), None, None),
-            };
-            let merger = {
-                let stats = Arc::clone(&stats);
-                let lease = cfg.lease;
-                let metrics = metrics.clone();
-                thread::Builder::new().name("cpvr-merger".into()).spawn(
-                    move || -> (FoldReport, Option<io::Error>) {
-                        let (pipeline, wal_err) =
-                            merger_loop(rx, pipeline, wal, lease, &stats, metrics.as_deref());
-                        (FoldReport::Single(Box::new(pipeline)), wal_err)
-                    },
-                )?
-            };
-            (merger, recovery)
         } else {
-            let plan = cfg
-                .plan
-                .clone()
-                .unwrap_or_else(|| ShardPlan::uniform(shards));
-            // Recovery reuses the monolithic replay to reconstruct the
-            // source table and watermark, then reseeds the workers from
-            // the recovered event list.
-            let (sources, recovered_wm, recovered_events, recovered_repairs, recovery, wals) =
-                match &cfg.wal {
-                    Some(wal_cfg) => {
-                        let (pipeline, report, events) = IngestPipeline::recover_parts(
-                            cfg.pipeline,
-                            &wal_cfg.dir,
-                            shards as usize,
-                        )?;
-                        let mut wals = Vec::with_capacity(shards as usize);
-                        for k in 0..shards {
-                            let mut series_cfg = wal_cfg.clone().for_series(k);
-                            series_cfg.deferred_sync = true;
-                            let mut w = Wal::open(series_cfg)?;
-                            if let Some(m) = &metrics {
-                                w.set_metrics(wal_metrics(m));
-                            }
-                            wals.push(w);
-                        }
-                        (
-                            pipeline.sources().clone(),
-                            pipeline.watermark(),
-                            events,
-                            pipeline.repairs().clone(),
-                            Some(report),
-                            wals,
-                        )
-                    }
-                    None => (
-                        crate::pipeline::SourceTable::new(cfg.pipeline.n_routers),
-                        None,
-                        Vec::new(),
-                        crate::repair_journal::RepairLedger::new(),
-                        None,
-                        Vec::new(),
-                    ),
-                };
-            // The group-commit thread, shared by every worker's WAL
-            // series. Cadence: `EveryN(n)` syncs once per `n` appends
-            // across the whole fleet; `Always` syncs via per-batch
-            // tickets; `Never` only on rotation/close/stop.
-            let gc = (!wals.is_empty()).then(|| {
-                let cadence = match cfg.wal.as_ref().map_or(FsyncPolicy::Never, |w| w.fsync) {
-                    FsyncPolicy::EveryN(n) => n.max(1),
-                    FsyncPolicy::Always | FsyncPolicy::Never => u32::MAX,
-                };
-                let gc_metrics = metrics.as_ref().map(|m| {
-                    (
-                        m.registry.counter("cpvr_wal_syncs_total"),
-                        m.registry.histogram("cpvr_wal_fsync_nanos"),
-                    )
-                });
-                GroupCommit::start(cadence, gc_metrics)
-            });
-            group_commit = gc.as_ref().map(GroupCommit::handle);
-            let merger = {
-                let stats = Arc::clone(&stats);
-                let metrics = metrics.clone();
-                let cfg = cfg.clone();
-                thread::Builder::new().name("cpvr-merger".into()).spawn(
-                    move || -> (FoldReport, Option<io::Error>) {
-                        coordinator_loop(
-                            rx,
-                            cfg,
-                            plan,
-                            sources,
-                            recovered_wm,
-                            recovered_events,
-                            recovered_repairs,
-                            wals,
-                            gc,
-                            &stats,
-                            metrics,
-                        )
-                    },
-                )?
-            };
+            // A standalone collector: the coordinator over the plan's
+            // fold workers. Recovery (scan, seed, round-0 barrier) runs
+            // here, so `start` returns a fully recovered fold.
+            let (coordinator, recovery) =
+                Coordinator::start(&cfg, Arc::clone(&stats), metrics.clone())?;
+            group_commit = coordinator.group_commit();
+            let merger = thread::Builder::new()
+                .name("cpvr-merger".into())
+                .spawn(move || coordinator.run(rx))?;
             (merger, recovery)
         };
 
@@ -829,8 +720,8 @@ impl CollectorHandle {
         self.stats.snapshot()
     }
 
-    /// The sharded fold's group-commit handle, when one is running
-    /// (`shards > 1` with a WAL). Exposed as a fault-injection hook:
+    /// The fold's group-commit handle, when one is running (any
+    /// standalone collector with a WAL). Exposed as a fault-injection hook:
     /// [`crash`](GroupCommitHandle::crash) kills the sync thread as an
     /// I/O fault would, after which `shutdown` must surface the error
     /// while every event acked *before* the crash stays replayable.
@@ -1482,69 +1373,6 @@ pub(crate) fn journal(wal: &mut Option<Wal>, wal_err: &mut Option<io::Error>, by
     }
 }
 
-/// Advances the fold to the source table's global minimum promise, if
-/// it moved — journaling the new global watermark first.
-#[allow(clippy::too_many_arguments)]
-fn try_advance(
-    pipeline: &mut IngestPipeline,
-    wal: &mut Option<Wal>,
-    wal_err: &mut Option<io::Error>,
-    advanced: &mut Option<SimTime>,
-    stats: &SharedStats,
-    metrics: Option<&CollectorMetrics>,
-    flight: Option<&RingHandle>,
-    traced: &mut Vec<(SimTime, TraceCtx)>,
-) {
-    let Some(global) = pipeline.sources().global_min() else {
-        return;
-    };
-    if advanced.is_some_and(|wm| global <= wm) {
-        return;
-    }
-    // Journal the *global* watermark before advancing, so recovery
-    // re-advances to exactly the folded horizon. The frontier field is
-    // meaningless for a global watermark; zero by convention.
-    journal(
-        wal,
-        wal_err,
-        &encode_frame(&Frame::Watermark {
-            t: global,
-            frontier: 0,
-        }),
-    );
-    let folded_before = pipeline.builder().processed();
-    let start = Instant::now();
-    let status = pipeline.advance(global);
-    if let Some(m) = metrics {
-        m.fold_nanos.observe_since(start);
-        m.fold_batch
-            .observe((pipeline.builder().processed() - folded_before) as u64);
-        m.publish_pipeline(pipeline);
-        m.spans
-            .fold_up_to(global.as_nanos(), status.is_consistent());
-    }
-    // Traced flights at or behind the new horizon just got folded —
-    // close their merger-side hop.
-    if let Some(f) = flight {
-        traced.retain(|(t, ctx)| {
-            if *t > global {
-                return true;
-            }
-            f.record(
-                stage::FOLDED,
-                Some(ctx.child(stage::JOURNALED)),
-                t.as_nanos(),
-                0,
-            );
-            false
-        });
-    } else {
-        traced.clear();
-    }
-    *advanced = Some(global);
-    stats.set_watermark(global);
-}
-
 /// Writes an ack on a connection's write handle; a failed or timed-out
 /// write forfeits the handle (the client reconnects on ack stall).
 /// Returns whether the ack actually went out — callers that count acked
@@ -1557,425 +1385,4 @@ pub(crate) fn send_ack(acks: &mut HashMap<u64, TcpStream>, conn: u64, upto: u64)
         acks.remove(&conn);
     }
     false
-}
-
-/// Acks a connection's contiguous prefix and, once the source's bye
-/// promise has been *applied*, confirms end-of-stream with a fin. Byes
-/// carry no sequence number, so the fin is the only way a draining
-/// client can know its bye was not lost in flight. Returns whether the
-/// ack write succeeded.
-fn acknowledge(
-    pipeline: &IngestPipeline,
-    acks: &mut HashMap<u64, TcpStream>,
-    conn: u64,
-    source: RouterId,
-) -> bool {
-    let acked = send_ack(acks, conn, pipeline.sources().next_seq(source));
-    if pipeline.sources().finished(source) {
-        if let Some(s) = acks.get_mut(&conn) {
-            if s.write_all(&encode_frame(&Frame::Fin)).is_err() {
-                acks.remove(&conn);
-            }
-        }
-    }
-    acked
-}
-
-fn merger_loop(
-    rx: Receiver<Msg>,
-    mut pipeline: IngestPipeline,
-    mut wal: Option<Wal>,
-    lease: LeaseConfig,
-    stats: &SharedStats,
-    metrics: Option<&CollectorMetrics>,
-) -> (IngestPipeline, Option<io::Error>) {
-    let n_routers = pipeline.config().n_routers;
-    // Which router each live connection speaks for, and the ack write
-    // handle per connection. A reconnect replaces the connection but
-    // the router's state lives in the pipeline's source table.
-    let mut conn_source: HashMap<u64, RouterId> = HashMap::new();
-    let mut acks: HashMap<u64, TcpStream> = HashMap::new();
-    let mut wal_err: Option<io::Error> = None;
-    let flight = metrics.map(|m| m.flight.register("merger", MERGER_RING_SLOTS));
-    let flight = flight.as_ref();
-    // Traced flights journaled but not yet swept up by a watermark.
-    let mut traced: Vec<(SimTime, TraceCtx)> = Vec::new();
-
-    // Resuming after recovery: the recovered watermark keeps gating
-    // late events even before sources reconnect.
-    let mut advanced: Option<SimTime> = pipeline.watermark();
-    let mut stall = StallWatch::new(advanced);
-    if let Some(wm) = advanced {
-        stats.set_watermark(wm);
-    }
-    if let Some(m) = metrics {
-        // Scrapes arriving before any traffic should still see the
-        // recovered state, not all-zero gauges.
-        m.publish_pipeline(&pipeline);
-    }
-
-    // Liveness leases: every source starts its clock at merger start,
-    // so a router that never comes up at all is still evicted on
-    // schedule instead of gating the fold forever.
-    let mut last_heard: Vec<Instant> = vec![Instant::now(); n_routers as usize];
-    let mut last_sweep = Instant::now();
-    // `recv_timeout` must not overflow Instant arithmetic on huge
-    // (disabled-lease) intervals.
-    let tick = lease.sweep_interval.min(Duration::from_secs(3600));
-
-    loop {
-        let msg = match rx.recv_timeout(tick) {
-            Ok(m) => Some(m),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        if let Some(msg) = msg {
-            match msg {
-                Msg::Hello { conn, hello, ack } => {
-                    let source = hello.source;
-                    last_heard[source.0 as usize] = Instant::now();
-                    if pipeline.sources().state(source) == SourceState::Evicted {
-                        // Journal the re-admission before widening the
-                        // gate, mirroring the eviction below.
-                        journal(
-                            &mut wal,
-                            &mut wal_err,
-                            &encode_frame(&Frame::Admit { source }),
-                        );
-                        pipeline.sources_mut().admit(source);
-                        stats.readmissions.fetch_add(1, Ordering::Relaxed);
-                        if let Some(m) = metrics {
-                            m.readmissions.inc();
-                        }
-                    }
-                    // Journal the handshake so recovery re-learns the
-                    // session and keeps deduplicating its replays.
-                    journal(
-                        &mut wal,
-                        &mut wal_err,
-                        &encode_frame(&Frame::Hello(hello.clone())),
-                    );
-                    pipeline
-                        .sources_mut()
-                        .hello(source, hello.session, hello.first_seq);
-                    conn_source.insert(conn, source);
-                    if let Some(a) = ack {
-                        acks.insert(conn, a);
-                    }
-                    // An immediate ack tells a reconnecting client how
-                    // much of its planned replay is already here.
-                    acknowledge(&pipeline, &mut acks, conn, source);
-                    if let Some(m) = metrics {
-                        m.set_source_codec(source.0, hello.codec);
-                        // A hello can flip a source back to Live —
-                        // republish so lease-state scrapes see it now,
-                        // not at the next watermark advance.
-                        m.publish_pipeline(&pipeline);
-                    }
-                }
-                Msg::Events { conn, batch } => {
-                    let Some(&source) = conn_source.get(&conn) else {
-                        continue;
-                    };
-                    last_heard[source.0 as usize] = Instant::now();
-                    pipeline.sources_mut().refresh(source);
-                    let mut ingested = 0u64;
-                    let mut journaled = 0u64;
-                    let mut late = 0u64;
-                    let mut dups = 0u64;
-                    let mut gaps = 0u64;
-                    for rec in &batch {
-                        match pipeline.sources_mut().offer(source, rec.seq) {
-                            Offer::Duplicate => dups += 1,
-                            Offer::Gap => gaps += 1,
-                            Offer::Fresh => {
-                                // Events at or behind the advanced
-                                // watermark land behind the fold
-                                // frontier; only possible for sources
-                                // replaying after an eviction let the
-                                // fold pass them. Count and drop — the
-                                // ack still covers them so the client
-                                // stops re-sending.
-                                if advanced.is_some_and(|wm| rec.event.time <= wm) {
-                                    late += 1;
-                                    continue;
-                                }
-                                // Journal before ingesting: the log
-                                // must never lag the in-memory state.
-                                if let Some(raw) = rec.raw.as_ref() {
-                                    journal(&mut wal, &mut wal_err, raw);
-                                    if wal_err.is_none() {
-                                        journaled += 1;
-                                        if let Some(m) = metrics {
-                                            m.spans.stamp(source.0, rec.seq, Stage::Journaled);
-                                        }
-                                    }
-                                }
-                                if let Some(ctx) = rec.trace {
-                                    if let Some(f) = flight {
-                                        f.record(
-                                            stage::JOURNALED,
-                                            Some(ctx.child(stage::DECODED)),
-                                            u64::from(source.0),
-                                            rec.seq,
-                                        );
-                                    }
-                                    if traced.len() < TRACED_PENDING_MAX {
-                                        traced.push((rec.event.time, ctx));
-                                    }
-                                }
-                                pipeline.ingest(&rec.event);
-                                ingested += 1;
-                                if let Some(m) = metrics {
-                                    // The fold keys off simulated event
-                                    // time; the span needs it to know
-                                    // which watermark sweeps it up.
-                                    m.spans.event_time(
-                                        source.0,
-                                        rec.seq,
-                                        rec.event.time.as_nanos(),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    stats.events.fetch_add(ingested, Ordering::Relaxed);
-                    if late > 0 {
-                        stats.late_events.fetch_add(late, Ordering::Relaxed);
-                    }
-                    if dups > 0 {
-                        stats.duplicate_events.fetch_add(dups, Ordering::Relaxed);
-                    }
-                    if gaps > 0 {
-                        stats.gap_events.fetch_add(gaps, Ordering::Relaxed);
-                    }
-                    if let Some(m) = metrics {
-                        m.events_received.add(ingested);
-                        m.events_journaled.add(journaled);
-                        m.events_duplicate.add(dups);
-                        m.events_gap.add(gaps);
-                        m.events_late.add(late);
-                    }
-                    if ingested > 0 {
-                        stall.ingested();
-                    }
-                    // Filling a gap may have settled a parked promise.
-                    try_advance(
-                        &mut pipeline,
-                        &mut wal,
-                        &mut wal_err,
-                        &mut advanced,
-                        stats,
-                        metrics,
-                        flight,
-                        &mut traced,
-                    );
-                    // Ack only after the batch was journaled: an acked
-                    // event is a durable event.
-                    let acked = acknowledge(&pipeline, &mut acks, conn, source);
-                    if let Some(m) = metrics {
-                        if acked {
-                            // Acked ⇐ journaled by construction: only
-                            // ingested (hence journaled-if-WAL) events
-                            // are behind the acked cursor, and we count
-                            // them only when the ack actually went out.
-                            m.events_acked.add(ingested);
-                            for rec in &batch {
-                                m.spans.stamp(source.0, rec.seq, Stage::Acked);
-                            }
-                        }
-                    }
-                }
-                Msg::Watermark { conn, t, frontier } => {
-                    let Some(&source) = conn_source.get(&conn) else {
-                        continue;
-                    };
-                    last_heard[source.0 as usize] = Instant::now();
-                    pipeline.sources_mut().refresh(source);
-                    pipeline.sources_mut().promise(source, t, frontier);
-                    try_advance(
-                        &mut pipeline,
-                        &mut wal,
-                        &mut wal_err,
-                        &mut advanced,
-                        stats,
-                        metrics,
-                        flight,
-                        &mut traced,
-                    );
-                    acknowledge(&pipeline, &mut acks, conn, source);
-                }
-                Msg::Heartbeat { conn } => {
-                    let Some(&source) = conn_source.get(&conn) else {
-                        continue;
-                    };
-                    last_heard[source.0 as usize] = Instant::now();
-                    pipeline.sources_mut().refresh(source);
-                    acknowledge(&pipeline, &mut acks, conn, source);
-                }
-                Msg::Bye { conn, frontier } => {
-                    let Some(&source) = conn_source.get(&conn) else {
-                        continue;
-                    };
-                    last_heard[source.0 as usize] = Instant::now();
-                    pipeline.sources_mut().refresh(source);
-                    // A graceful goodbye: the source promises it will
-                    // never emit again, gated on its final frontier
-                    // like any other promise.
-                    pipeline.sources_mut().bye(source, frontier);
-                    try_advance(
-                        &mut pipeline,
-                        &mut wal,
-                        &mut wal_err,
-                        &mut advanced,
-                        stats,
-                        metrics,
-                        flight,
-                        &mut traced,
-                    );
-                    acknowledge(&pipeline, &mut acks, conn, source);
-                }
-                Msg::Intern { router: _, raw } => {
-                    // Journal the definition before any event that uses
-                    // it (the reader flushed its batch first, so channel
-                    // order is stream order). Idempotent on replay, so
-                    // journaling a definition whose events never arrive
-                    // is harmless.
-                    journal(&mut wal, &mut wal_err, &raw);
-                }
-                Msg::Repair { record, done } => {
-                    // Journal the lifecycle record before folding it, so
-                    // the ledger never runs ahead of the log; the `done`
-                    // ack (sent after both) is the caller's durability
-                    // barrier.
-                    journal(
-                        &mut wal,
-                        &mut wal_err,
-                        &encode_frame(&Frame::Repair(record.clone())),
-                    );
-                    pipeline.accept_repair(&record);
-                    stats.repair_records.fetch_add(1, Ordering::Relaxed);
-                    if let Some(m) = metrics {
-                        m.publish_repair(&record, pipeline.repairs().in_flight().len());
-                    }
-                    flight_repair_record(&record, flight, metrics);
-                    if let Some(done) = done {
-                        let _ = done.send(());
-                    }
-                }
-                // Peer frames exist only on federated collectors, whose
-                // member loop replaces this one; on_frame kills any
-                // connection that sends them here first.
-                Msg::PeerHello { .. } | Msg::Peer { .. } => {}
-                Msg::Closed { conn } => {
-                    // Keep the router's state: an abnormal close stalls
-                    // the global merge at its promise until the lease
-                    // evicts it — the conservative choice.
-                    conn_source.remove(&conn);
-                    acks.remove(&conn);
-                }
-            }
-        }
-        if last_sweep.elapsed() >= tick {
-            sweep_leases(
-                &mut pipeline,
-                &mut wal,
-                &mut wal_err,
-                &mut advanced,
-                &last_heard,
-                &lease,
-                &mut conn_source,
-                &mut acks,
-                stats,
-                metrics,
-                flight,
-                &mut traced,
-            );
-            last_sweep = Instant::now();
-        }
-        stall.observe(advanced, lease.stall_after, metrics, flight);
-    }
-    if let Some(w) = wal {
-        if let (Err(e), None) = (w.close(), &wal_err) {
-            wal_err = Some(e);
-        }
-    }
-    (pipeline, wal_err)
-}
-
-/// One pass of the liveness leases: flag silent sources as lagging,
-/// evict ones silent past the eviction threshold (journaled first), and
-/// advance the fold if an eviction released the gate.
-#[allow(clippy::too_many_arguments)]
-fn sweep_leases(
-    pipeline: &mut IngestPipeline,
-    wal: &mut Option<Wal>,
-    wal_err: &mut Option<io::Error>,
-    advanced: &mut Option<SimTime>,
-    last_heard: &[Instant],
-    lease: &LeaseConfig,
-    conn_source: &mut HashMap<u64, RouterId>,
-    acks: &mut HashMap<u64, TcpStream>,
-    stats: &SharedStats,
-    metrics: Option<&CollectorMetrics>,
-    flight: Option<&RingHandle>,
-    traced: &mut Vec<(SimTime, TraceCtx)>,
-) {
-    let now = Instant::now();
-    let mut evicted_any = false;
-    for (i, heard) in last_heard.iter().enumerate() {
-        let r = RouterId(i as u32);
-        // A source that delivered its whole stream (settled bye) owes
-        // nobody a heartbeat; an already evicted one is already out.
-        if pipeline.sources().state(r) == SourceState::Evicted || pipeline.sources().finished(r) {
-            continue;
-        }
-        let silent = now.saturating_duration_since(*heard);
-        if silent >= lease.evict_after {
-            journal(wal, wal_err, &encode_frame(&Frame::Evict { source: r }));
-            pipeline.sources_mut().evict(r);
-            stats.evictions.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = metrics {
-                m.evictions.inc();
-            }
-            // Every eviction freezes exactly one black box: the dump
-            // holds the ring state that explains *why* the fold was
-            // gated when the lease gave up on this source.
-            if let Some(f) = flight {
-                f.record(stage::EVICTION, None, u64::from(r.0), silent.as_secs());
-            }
-            if let Some(m) = metrics {
-                m.flight_dump("eviction");
-            }
-            evicted_any = true;
-            // Hang up on the evicted source: re-admission requires a
-            // fresh hello, and clients only re-hello on reconnect, so
-            // leaving the connection up would strand a source that is
-            // merely slow (not dead) in un-admitted limbo.
-            let conns: Vec<u64> = conn_source
-                .iter()
-                .filter(|&(_, s)| *s == r)
-                .map(|(&c, _)| c)
-                .collect();
-            for c in conns {
-                conn_source.remove(&c);
-                if let Some(s) = acks.remove(&c) {
-                    let _ = s.shutdown(std::net::Shutdown::Both);
-                }
-            }
-        } else if silent >= lease.lagging_after {
-            pipeline.sources_mut().set_lagging(r);
-        }
-    }
-    if evicted_any {
-        try_advance(
-            pipeline, wal, wal_err, advanced, stats, metrics, flight, traced,
-        );
-    }
-    if let Some(m) = metrics {
-        // Every sweep republishes the lease gauges, so a scrape sees a
-        // source flip Live → Lagging → Evicted as it happens rather
-        // than only when the watermark next moves.
-        m.publish_pipeline(pipeline);
-    }
 }

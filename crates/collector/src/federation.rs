@@ -132,7 +132,7 @@ pub struct FederationConfig {
 /// member of a federation — with its last view of every peer.
 #[derive(Clone, Debug)]
 pub enum CollectorRole {
-    /// Not federated (single merger or in-process shards).
+    /// Not federated (the coordinator over one or more fold workers).
     Standalone,
     /// One member of an N-collector federation.
     Member {
@@ -1411,7 +1411,7 @@ impl MemberFold {
 }
 
 /// Merges every member's fold into a single global report — the same
-/// merge the in-process sharded coordinator runs at shutdown. Errors if
+/// merge the standalone coordinator runs at shutdown. Errors if
 /// the members disagree on the global verdict, wait statistics, or
 /// completed watermark: the federation's invariant is that they cannot.
 pub fn merge_members(mut folds: Vec<MemberFold>) -> io::Result<FoldReport> {
@@ -1587,7 +1587,7 @@ pub(crate) fn recover_member(
     Ok((st, report))
 }
 
-/// The federation member's merger thread: the legacy merger loop's
+/// The federation member's merger thread: the standalone coordinator's
 /// client handling (hello/events/watermark/bye, journal-then-ack,
 /// liveness leases over the *owned* routers) plus the peer protocol —
 /// inbound cursors with journal-then-ack, outbound links with

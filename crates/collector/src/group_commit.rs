@@ -1,23 +1,22 @@
 //! WAL group commit: one dedicated thread aggregates fsyncs across all
 //! shard series.
 //!
-//! In the legacy single-merger path, `FsyncPolicy::EveryN` is applied
-//! per WAL handle: every N-th append pays a blocking `fsync` on the
-//! merger thread. The sharded fold instead opens its WALs in
-//! deferred-sync mode ([`crate::WalConfig::deferred_sync`]): workers
-//! only `flush()` per ingest batch, credit the group-commit thread with
-//! the records appended, and the thread fsyncs *every registered
-//! segment file at once* when the global (cross-shard, cross-connection)
-//! counter reaches N. One thread absorbs all fsync latency, the fold
-//! threads never block on the disk, and the worst-case loss window
-//! stays N records — now counted across the whole collector instead of
-//! per stream.
+//! A standalone collector's fold workers open their WALs in
+//! deferred-sync mode ([`crate::WalConfig::deferred_sync`]) — one
+//! worker under the default one-shard plan, N under an N-shard plan.
+//! Workers only `flush()` per ingest batch and credit the group-commit
+//! thread with the records appended; under `FsyncPolicy::EveryN` the
+//! thread fsyncs *every registered segment file at once* when the
+//! global (cross-shard, cross-connection) counter reaches N. One thread
+//! absorbs all fsync latency, the fold threads never block on the disk
+//! for cadence syncs, and the worst-case loss window stays N records —
+//! counted across the whole collector instead of per stream.
 //!
 //! Under [`FsyncPolicy::Always`](crate::FsyncPolicy) workers instead
 //! call [`GroupCommitHandle::sync_now`] and wait for the ticket before
 //! acking, so acked ⇒ fsynced holds even though the fsync itself runs
 //! on the sync thread — the property the durability tests crash the
-//! sync thread to probe.
+//! sync thread to probe. Concurrent workers' tickets share sync cycles.
 
 use std::collections::HashMap;
 use std::fs::File;

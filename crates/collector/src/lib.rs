@@ -23,16 +23,17 @@
 //!   torn-tail detection on replay.
 //! * [`pipeline`] + [`collector`] — the threaded TCP server: one reader
 //!   thread per router connection, a bounded channel for backpressure,
-//!   and a single merger thread that journals to the WAL, deduplicates
-//!   events by sequence number, applies frontier-gated watermark
-//!   promises, runs per-source liveness leases (silent sources are
-//!   marked lagging, then evicted from the watermark gate so the fold
-//!   resumes), and folds events into
-//!   [`HbgBuilder`](cpvr_core::builder::HbgBuilder) and
-//!   [`ConsistencyTracker`](cpvr_core::snapshot::ConsistencyTracker)
-//!   only up to the minimum applied promise across all non-evicted
-//!   sources — the merge point where the global `(time, id)` order is
-//!   known.
+//!   and a single merger thread (the [`shard`] coordinator) that
+//!   deduplicates events by sequence number, applies frontier-gated
+//!   watermark promises, runs per-source liveness leases (silent
+//!   sources are marked lagging, then evicted from the watermark gate
+//!   so the fold resumes), and has the shard plan's fold workers
+//!   journal events to the WAL and fold them into
+//!   [`HbgBuilder`](cpvr_core::builder::HbgBuilder)s and tracker
+//!   slices only up to the minimum applied promise across all
+//!   non-evicted sources — the merge point where the global
+//!   `(time, id)` order is known. [`IngestPipeline`] is the monolithic
+//!   reference fold the workers are checked against.
 //! * [`client`] — [`SocketSink`], an
 //!   [`EventSink`](cpvr_sim::EventSink) that ships a router's tap over
 //!   a socket with a bounded replay buffer, ack-driven pruning, and
@@ -53,7 +54,7 @@
 //!   the collector, dropping, corrupting, duplicating, delaying, and
 //!   disconnecting the byte stream on a reproducible schedule.
 //!
-//! Crash recovery is the point of the WAL: the merger journals every
+//! Crash recovery is the point of the WAL: a fold worker journals every
 //! event before ingesting it and every global watermark before
 //! advancing, so the log is always at least as complete as the
 //! in-memory state. Replaying it (ingest everything, advance once to

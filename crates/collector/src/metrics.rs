@@ -21,7 +21,8 @@ use cpvr_obs::{
 use cpvr_types::{RouterId, SimTime};
 
 use crate::codec::{RepairRecord, RepairStage};
-use crate::pipeline::{IngestPipeline, SourceState, SourceTable};
+use crate::pipeline::{SourceState, SourceTable};
+use crate::wal::WalMetrics;
 
 /// Default sampling stride for event-flight spans: one in this many
 /// sequence numbers per source gets a full causal latency breakdown.
@@ -88,7 +89,7 @@ pub struct CollectorMetrics {
     pub(crate) fold_nanos: Histogram,
     pub(crate) fold_batch: Histogram,
 
-    // Sharded fold (empty vecs when the collector runs unsharded).
+    // Sharded fold (empty vecs under a one-shard plan).
     pub(crate) barrier_rounds: Counter,
     pub(crate) shard_frontier: Vec<Gauge>,
     pub(crate) shard_fold_lag: Vec<Gauge>,
@@ -137,8 +138,8 @@ pub struct CollectorMetrics {
 
 impl CollectorMetrics {
     /// Declares every family and resolves the static handles for a
-    /// deployment of `n_routers`, folded by `shards` workers (1 for the
-    /// legacy single-merger path).
+    /// deployment of `n_routers`, folded by `shards` workers (per-shard
+    /// series are resolved only when `shards > 1`).
     pub fn new(n_routers: u32, span_sample: u64, shards: u32) -> Self {
         Self::new_federated(n_routers, span_sample, shards, 0)
     }
@@ -620,28 +621,16 @@ impl CollectorMetrics {
         }
     }
 
-    /// Publishes the fold-side gauges from the pipeline's current
-    /// state: builder/tracker counters, HBG size, per-rule edge offers,
-    /// and the per-source lease/lag/cursor gauges.
-    pub(crate) fn publish_pipeline(&self, pipeline: &IngestPipeline) {
-        let b = pipeline.builder();
-        self.events_folded.set(b.processed() as i64);
-        self.events_pending.set(b.pending() as i64);
-        self.hbg_edges.set(b.hbg().edges().len() as i64);
-        for (source, n) in b.edge_counts() {
-            self.registry
-                .gauge_with("cpvr_hbg_edges_offered", &[("rule", source)])
-                .set(*n as i64);
+    /// Registry handles for a WAL this collector appends through.
+    pub(crate) fn wal_metrics(&self) -> WalMetrics {
+        let r = &self.registry;
+        WalMetrics {
+            appends: r.counter("cpvr_wal_appends_total"),
+            bytes: r.counter("cpvr_wal_bytes_total"),
+            syncs: r.counter("cpvr_wal_syncs_total"),
+            rotations: r.counter("cpvr_wal_rotations_total"),
+            fsync_nanos: r.histogram("cpvr_wal_fsync_nanos"),
         }
-        let (issued, resolved) = pipeline.tracker().wait_stats();
-        self.waits_issued.set(issued as i64);
-        self.waits_resolved.set(resolved as i64);
-        self.snapshot_consistent
-            .set(pipeline.status().is_consistent() as i64);
-        if let Some(wm) = pipeline.watermark() {
-            self.watermark_nanos.set(wm.as_nanos() as i64);
-        }
-        self.publish_sources(pipeline.sources());
     }
 
     /// Publishes the effects of one freshly journaled repair-lifecycle
@@ -661,8 +650,7 @@ impl CollectorMetrics {
     }
 
     /// Publishes the per-source lease/lag/cursor gauges from a source
-    /// table. The sharded coordinator calls this directly — it owns the
-    /// table but not an [`IngestPipeline`].
+    /// table (the coordinator's or a federation member's).
     pub(crate) fn publish_sources(&self, table: &SourceTable) {
         let furthest: Option<SimTime> = (0..self.sources.state.len() as u32)
             .filter_map(|i| table.promise_of(RouterId(i)))

@@ -3,10 +3,13 @@
 //! [`IngestPipeline`] bundles the two incremental consumers of the
 //! event stream — [`HbgBuilder`] for happens-before inference and
 //! [`ConsistencyTracker`] for causally consistent snapshots — behind
-//! one ingest/advance surface, so the collector's merger thread and the
-//! WAL recovery path drive them identically.
+//! one ingest/advance surface. It is the in-process *reference* fold:
+//! the collector itself folds through the shard plan's workers (see
+//! [`crate::shard`]), and tests and the `collectord` example check that
+//! fold against this monolithic one on the same trace or WAL.
 //!
-//! The pipeline also owns the [`SourceTable`]: per-router sequence
+//! This module also defines the [`SourceTable`] the collector's
+//! coordinator owns: per-router sequence
 //! cursors (duplicate/gap detection for at-least-once delivery),
 //! frontier-gated watermark promises, and liveness state
 //! ([`SourceState`]). The table is what turns a set of unreliable
@@ -16,11 +19,11 @@
 //! passes an event that was sent but lost in flight.
 //!
 //! Recovery ([`IngestPipeline::recover`]) replays the WAL: every intact
-//! record is decoded as a wire frame, events are re-ingested (and their
-//! sequence numbers replayed into the table, so a reconnecting client's
-//! replay is deduplicated even across a collector restart), eviction
-//! and re-admission records rebuild the watermark gate, and the
-//! pipeline advances once to the largest durably logged watermark.
+//! record is decoded as a wire frame, events are re-ingested (and the
+//! collector replays their sequence numbers into its source table, so a
+//! reconnecting client's replay is deduplicated even across a restart),
+//! eviction and re-admission records rebuild the watermark gate, and
+//! the pipeline advances once to the durably logged watermark.
 //! Because both consumers fold events in `(time, id)` order regardless
 //! of how advances were batched (see [`HbgBuilder::recover`] and
 //! [`ConsistencyTracker::recover`]), the recovered state is
@@ -33,6 +36,7 @@ use crate::wal;
 use cpvr_core::builder::HbgBuilder;
 use cpvr_core::infer::InferConfig;
 use cpvr_core::snapshot::{ConsistencyTracker, SnapshotStatus};
+use cpvr_core::ShardPlan;
 use cpvr_sim::IoEvent;
 use cpvr_types::intern::InternStore;
 use cpvr_types::{RouterId, SimTime};
@@ -382,12 +386,10 @@ impl SourceTable {
     }
 }
 
-/// The incremental verification state downstream of the collector.
+/// The monolithic reference fold of a collector's event stream.
 pub struct IngestPipeline {
-    cfg: PipelineConfig,
     builder: HbgBuilder,
     tracker: ConsistencyTracker,
-    sources: SourceTable,
     /// The last globally advanced watermark; `None` until the first
     /// advance.
     watermark: Option<SimTime>,
@@ -402,18 +404,10 @@ impl IngestPipeline {
         IngestPipeline {
             builder: HbgBuilder::new(&cfg.infer()),
             tracker: ConsistencyTracker::new(cfg.n_routers as usize),
-            sources: SourceTable::new(cfg.n_routers),
             watermark: None,
             events: 0,
             repairs: RepairLedger::new(),
-            cfg,
         }
-    }
-
-    /// Folds one journaled repair-lifecycle record into the ledger.
-    /// Returns `false` for an exact duplicate.
-    pub fn accept_repair(&mut self, r: &RepairRecord) -> bool {
-        self.repairs.accept(r)
     }
 
     /// The repair-lifecycle ledger.
@@ -450,23 +444,6 @@ impl IngestPipeline {
         self.events
     }
 
-    /// The per-source delivery/liveness table.
-    pub fn sources(&self) -> &SourceTable {
-        &self.sources
-    }
-
-    /// Mutable access to the source table (the merger drives hellos,
-    /// offers, promises, and leases through this).
-    pub fn sources_mut(&mut self) -> &mut SourceTable {
-        &mut self.sources
-    }
-
-    /// The sources currently preventing the watermark from advancing.
-    /// See [`SourceTable::stalled`].
-    pub fn stalled_sources(&self) -> Vec<RouterId> {
-        self.sources.stalled()
-    }
-
     /// The happens-before graph builder.
     pub fn builder(&self) -> &HbgBuilder {
         &self.builder
@@ -477,69 +454,95 @@ impl IngestPipeline {
         &self.tracker
     }
 
-    /// Mutable access to the tracker (for draining FIB deltas into a
-    /// downstream verifier).
-    pub fn tracker_mut(&mut self) -> &mut ConsistencyTracker {
-        &mut self.tracker
-    }
-
     /// The verdict at the current watermark, without advancing.
     pub fn status(&self) -> SnapshotStatus {
         self.tracker.status()
     }
 
-    /// The deployment config this pipeline was built with.
-    pub fn config(&self) -> PipelineConfig {
-        self.cfg
-    }
-
     /// Rebuilds a pipeline from the WAL at `dir`.
     ///
     /// Every intact record is decoded as a wire frame; events are
-    /// ingested (and their sequence numbers replayed into the source
-    /// table so reconnect replays stay deduplicated across the
-    /// restart), journaled evictions/re-admissions rebuild the
-    /// watermark gate, and the pipeline is advanced once to the largest
-    /// logged watermark. The collector logs an event frame *before*
-    /// ingesting it and a watermark frame *before* advancing, so the
-    /// durable log is always at least as complete as the in-memory
-    /// state it is recovered to — and deterministic folding makes
-    /// "ingest all, then advance once" equal to the live interleaving.
-    ///
-    /// Per-source *promises* are not journaled (only the global
-    /// advances they produced), so recovered sources start unpromised:
-    /// the watermark cannot move again until the reconnecting clients
-    /// re-promise, which they do as part of their reconnect protocol.
+    /// ingested, repair records rebuild the ledger, and the pipeline is
+    /// advanced once to the durable watermark (the minimum over segment
+    /// series of each series' largest logged watermark). The collector
+    /// logs an event frame *before* ingesting it and a watermark frame
+    /// *before* advancing, so the durable log is always at least as
+    /// complete as the in-memory state it is recovered to — and
+    /// deterministic folding makes "ingest all, then advance once"
+    /// equal to the live interleaving. Journaled evictions that were
+    /// never re-admitted are listed in the report.
     pub fn recover(cfg: PipelineConfig, dir: &Path) -> io::Result<(Self, RecoveryReport)> {
         let (pipeline, report, _) = Self::recover_parts(cfg, dir, 1)?;
         Ok((pipeline, report))
     }
 
-    /// [`recover`](Self::recover), exposing the replayed event list
-    /// (for the sharded collector to redistribute to its workers) and
-    /// replaying independent WAL series on up to `threads` reader
-    /// threads. The result is identical at every thread count: series
-    /// are merged in deterministic series order regardless of which
-    /// thread read them.
-    ///
-    /// A sharded collector journals into one series per shard, each
-    /// worker logging every barrier watermark *before* folding to it.
-    /// The recovered watermark is therefore the **minimum over all
-    /// series of that series' largest logged watermark** (`None` if any
-    /// series never logged one): an event missing from series `k` was
-    /// accepted after `k` last logged a watermark `W_k`, and events
-    /// accepted after a barrier at `W` are stamped later than `W`, so
-    /// nothing at or below `min_k W_k` can be missing. With a single
-    /// series this degenerates to the largest logged watermark — the
-    /// legacy rule, byte for byte.
+    /// [`recover`](Self::recover), also returning the replayed event
+    /// list and reading independent WAL series on up to `threads`
+    /// reader threads (see [`WalScan::read`]). The result is identical
+    /// at every thread count. This is the monolithic reference fold the
+    /// collector's own recovery is checked against: one
+    /// [`HbgBuilder`] and one [`ConsistencyTracker`] over the whole
+    /// scanned history.
     pub fn recover_parts(
         cfg: PipelineConfig,
         dir: &Path,
         threads: usize,
     ) -> io::Result<(Self, RecoveryReport, Vec<IoEvent>)> {
-        let replayed = wal::replay_all(dir, threads)?;
+        let scan = WalScan::read(cfg.n_routers, dir, threads, &ShardPlan::uniform(1))?;
+        let events = scan.events.into_iter().next().unwrap_or_default();
         let mut pipeline = Self::new(cfg);
-        let mut events: Vec<IoEvent> = Vec::new();
+        for e in &events {
+            pipeline.ingest(e);
+        }
+        if let Some(wm) = scan.watermark {
+            pipeline.advance(wm);
+        }
+        pipeline.repairs = scan.repairs;
+        Ok((pipeline, scan.report, events))
+    }
+}
+
+/// One scan of a WAL directory, before any fold: everything recovery
+/// needs to resume — the rebuilt source table, the durable watermark,
+/// every journaled event, and the repair ledger. The collector seeds
+/// its fold workers from this; [`IngestPipeline::recover_parts`] folds
+/// it monolithically.
+pub(crate) struct WalScan {
+    pub(crate) sources: SourceTable,
+    pub(crate) watermark: Option<SimTime>,
+    /// The journaled events, one list per shard of the scan's plan
+    /// (by `ShardPlan::of_router`), each in `(time, id)` order.
+    /// Partitioned while decoding, so the scan never holds a second
+    /// copy to split.
+    pub(crate) events: Vec<Vec<IoEvent>>,
+    pub(crate) repairs: RepairLedger,
+    pub(crate) report: RecoveryReport,
+}
+
+impl WalScan {
+    /// Decodes every intact record of every series under `dir`, reading
+    /// series on up to `threads` threads (merged in deterministic series
+    /// order regardless of which thread read them).
+    ///
+    /// A collector journals into one series per shard (the unnumbered
+    /// series for a one-shard plan), each worker logging every barrier
+    /// watermark *before* folding to it. The recovered watermark is
+    /// therefore the **minimum over all series of that series' largest
+    /// logged watermark** (`None` if any series never logged one): an
+    /// event missing from series `k` was accepted after `k` last logged
+    /// a watermark `W_k`, and events accepted after a barrier at `W` are
+    /// stamped later than `W`, so nothing at or below `min_k W_k` can be
+    /// missing. With a single series this is its largest logged
+    /// watermark.
+    pub(crate) fn read(
+        n_routers: u32,
+        dir: &Path,
+        threads: usize,
+        plan: &ShardPlan,
+    ) -> io::Result<WalScan> {
+        let replayed = wal::replay_all(dir, threads)?;
+        let mut sources = SourceTable::new(n_routers);
+        let mut events: Vec<Vec<IoEvent>> = vec![Vec::new(); plan.shards() as usize];
         let mut repair_records: Vec<RepairRecord> = Vec::new();
         // Each series' largest logged watermark (`None` = that series
         // never logged one).
@@ -569,18 +572,18 @@ impl IngestPipeline {
                                 interns.apply(def.router, def.space, def.symbol, &def.bytes);
                             }
                             Ok(Frame::Event { seq, event }) => {
-                                if pipeline.sources.contains(event.router) {
-                                    let e = pipeline.sources.entry_mut(event.router);
+                                if sources.contains(event.router) {
+                                    let e = sources.entry_mut(event.router);
                                     e.next_seq = e.next_seq.max(seq + 1);
                                 }
-                                events.push(event);
+                                events[plan.of_router(event.router) as usize].push(event);
                             }
                             Ok(Frame::Watermark { t, .. }) => {
                                 series_wm = Some(series_wm.map_or(t, |w| w.max(t)));
                             }
                             Ok(Frame::Hello(h)) => {
-                                if pipeline.sources.contains(h.source) {
-                                    let e = pipeline.sources.entry_mut(h.source);
+                                if sources.contains(h.source) {
+                                    let e = sources.entry_mut(h.source);
                                     e.session = Some(h.session);
                                     if e.state == SourceState::NeverConnected {
                                         e.state = SourceState::Live;
@@ -588,13 +591,13 @@ impl IngestPipeline {
                                 }
                             }
                             Ok(Frame::Evict { source }) => {
-                                if pipeline.sources.contains(source) {
-                                    pipeline.sources.evict(source);
+                                if sources.contains(source) {
+                                    sources.evict(source);
                                 }
                             }
                             Ok(Frame::Admit { source }) => {
-                                if pipeline.sources.contains(source) {
-                                    pipeline.sources.admit(source);
+                                if sources.contains(source) {
+                                    sources.admit(source);
                                 }
                             }
                             // Repair lifecycle records fold into the
@@ -609,8 +612,8 @@ impl IngestPipeline {
                             Ok(Frame::DumpReq) | Ok(Frame::DumpResp { .. }) => {}
                             // Peer frames are only journaled by
                             // federation members, which recover through
-                            // their own ordered replay; a standalone or
-                            // sharded pipeline ignores any it finds.
+                            // their own ordered replay; a standalone
+                            // collector ignores any it finds.
                             Ok(Frame::Bye { .. })
                             | Ok(Frame::Ack { .. })
                             | Ok(Frame::Fin)
@@ -642,29 +645,27 @@ impl IngestPipeline {
         // duplicate-free ingest order is deterministic. (Within one
         // series the journal order already respects the fold frontier;
         // across series only the (time, id) order is meaningful.)
-        events.sort_by_key(|e| (e.time, e.id));
-        for e in &events {
-            pipeline.ingest(e);
+        for part in &mut events {
+            part.sort_by_key(|e| (e.time, e.id));
         }
-        if let Some(wm) = watermark {
-            pipeline.advance(wm);
-        }
-        let mut repairs_replayed = 0usize;
-        for r in &repair_records {
-            if pipeline.repairs.accept(r) {
-                repairs_replayed += 1;
-            }
-        }
+        let mut repairs = RepairLedger::new();
+        let repairs_replayed = repair_records.iter().filter(|r| repairs.accept(r)).count();
         let report = RecoveryReport {
-            events_replayed: events.len(),
+            events_replayed: events.iter().map(Vec::len).sum(),
             repairs_replayed,
             watermark,
             torn_tail: torn,
             segments,
             corrupt_records: corrupt,
-            evicted: pipeline.sources.evicted(),
+            evicted: sources.evicted(),
         };
-        Ok((pipeline, report, events))
+        Ok(WalScan {
+            sources,
+            watermark,
+            events,
+            repairs,
+            report,
+        })
     }
 }
 

@@ -312,7 +312,7 @@ fn chaos_seeds() -> Vec<u64> {
 
 /// How many fold shards the chaos collector runs. CI's matrix crosses
 /// the seeds with `CHAOS_SHARDS` ∈ {1, 2, 4}; locally it defaults to
-/// the legacy single merger.
+/// the one-worker plan.
 fn chaos_shards() -> u32 {
     match std::env::var("CHAOS_SHARDS") {
         Ok(s) => s.parse().expect("CHAOS_SHARDS must be a u32"),
@@ -391,6 +391,18 @@ fn chaotic_ingestion_soak() {
 /// reconnect re-admits it with no loss of bit-identity.
 #[test]
 fn eviction_unblocks_the_fold_and_readmission_restores_identity() {
+    eviction_and_readmission_at(1);
+}
+
+/// The same lease story through a two-shard plan: eviction, its flight
+/// dump, and re-admission are the coordinator's, whatever the shard
+/// count.
+#[test]
+fn eviction_unblocks_the_fold_and_readmission_restores_identity_at_two_shards() {
+    eviction_and_readmission_at(2);
+}
+
+fn eviction_and_readmission_at(shards: u32) {
     let events = sample_events(7);
     let reference = reference_pipeline(&events);
     let end = events.iter().map(|e| e.time).max().unwrap();
@@ -409,6 +421,7 @@ fn eviction_unblocks_the_fold_and_readmission_restores_identity() {
     };
     let dir = TempDir::new("chaos-evict").unwrap();
     let cfg = CollectorConfig::new(N_ROUTERS)
+        .with_shards(shards)
         .with_wal(WalConfig::new(dir.path()))
         .with_lease(lease);
     let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
@@ -538,7 +551,7 @@ fn eviction_unblocks_the_fold_and_readmission_restores_identity() {
     // before the eviction, and its phase-2 events are all above `mid`,
     // so nothing was folded past — identity survives the eviction.
     assert_eq!(report.stats.late_events, 0);
-    assert_bit_identical(&report, &reference, "eviction");
+    assert_bit_identical(&report, &reference, &format!("eviction, shards={shards}"));
 
     // The journaled Evict/Admit pair is part of the durable history.
     let (_, rr) = IngestPipeline::recover(PipelineConfig::new(N_ROUTERS), dir.path()).unwrap();

@@ -10,7 +10,7 @@ use cpvr_collector::codec::{decode_frame, Frame};
 use cpvr_collector::collector::{Collector, CollectorConfig};
 use cpvr_collector::pipeline::{IngestPipeline, PipelineConfig};
 use cpvr_collector::wal::{self, wait_for, TempDir, Wal, WalConfig};
-use cpvr_collector::SocketSink;
+use cpvr_collector::{FoldReport, SocketSink};
 use cpvr_dataplane::{DataPlane, FibEntry};
 use cpvr_sim::scenario::paper_scenario;
 use cpvr_sim::{CaptureProfile, IoEvent, LatencyProfile};
@@ -46,8 +46,8 @@ fn sample_events(seed: u64) -> Vec<IoEvent> {
 }
 
 /// Streams `events` through a fresh collector journaling into `dir` and
-/// returns the final pipeline once everything is folded.
-fn stream_through_collector(events: &[IoEvent], dir: &std::path::Path) -> IngestPipeline {
+/// returns the final fold once everything is folded.
+fn stream_through_collector(events: &[IoEvent], dir: &std::path::Path) -> FoldReport {
     let cfg = CollectorConfig::new(N_ROUTERS).with_wal(WalConfig::new(dir));
     let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
     let addr = handle.local_addr();
@@ -94,10 +94,24 @@ fn stream_through_collector(events: &[IoEvent], dir: &std::path::Path) -> Ingest
         "collector never folded the full stream: {:?}",
         handle.stats()
     );
-    match handle.shutdown().expect("clean shutdown").pipeline {
-        cpvr_collector::FoldReport::Single(p) => *p,
-        _ => unreachable!("collector runs unsharded here"),
-    }
+    let live = handle.shutdown().expect("clean shutdown").pipeline;
+    // The live fold must equal the monolithic reference replay of the
+    // WAL it journaled.
+    let (replayed, _) = IngestPipeline::recover(PipelineConfig::new(N_ROUTERS), dir).unwrap();
+    assert_eq!(live.events(), replayed.events());
+    assert_eq!(live.watermark(), replayed.watermark());
+    assert_eq!(live.processed(), replayed.builder().processed());
+    assert_eq!(
+        live.canonical_edges(),
+        replayed.builder().hbg().canonical_edges()
+    );
+    assert_eq!(&live.edge_counts(), replayed.builder().edge_counts());
+    assert_eq!(live.status(), replayed.status());
+    assert_eq!(
+        dataplane_fingerprint(live.dataplane()),
+        dataplane_fingerprint(replayed.tracker().dataplane())
+    );
+    live
 }
 
 #[test]
@@ -199,18 +213,18 @@ fn recovery_from_any_record_boundary_is_bit_identical() {
         );
         assert_eq!(
             pipeline.builder().processed(),
-            reference.builder().processed(),
+            reference.processed(),
             "cut {cut}: folded event count"
         );
         assert_eq!(
             pipeline.builder().hbg().canonical_edges(),
-            reference.builder().hbg().canonical_edges(),
+            reference.canonical_edges(),
             "cut {cut}: HBG must be bit-identical"
         );
         assert_eq!(pipeline.status(), reference.status(), "cut {cut}: verdict");
         assert_eq!(
             dataplane_fingerprint(pipeline.tracker().dataplane()),
-            dataplane_fingerprint(reference.tracker().dataplane()),
+            dataplane_fingerprint(reference.dataplane()),
             "cut {cut}: data plane"
         );
     }
@@ -238,7 +252,7 @@ fn collector_restart_resumes_from_recovered_watermark() {
     let report = handle.shutdown().expect("clean shutdown");
     assert_eq!(
         report.pipeline.canonical_edges(),
-        reference.builder().hbg().canonical_edges()
+        reference.canonical_edges()
     );
     assert_eq!(report.pipeline.status(), reference.status());
 

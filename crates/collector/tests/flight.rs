@@ -88,13 +88,26 @@ fn rec(id: u64, stage: RepairStage, at: u64, verdict: Option<u8>, proof: Vec<u8>
 
 /// A sampled event flight leaves one causally chained record at every
 /// hop: the sink mints the context into the v3 trailer, the reader
-/// records `decoded`, the merger records `journaled`, and the watermark
-/// advance that folds it records `folded` — all under the same trace
-/// id, recoverable on demand over the wire via `DumpReq`.
+/// records `decoded`, the fold worker records `journaled`, and the
+/// watermark advance that folds it records `folded` — all under the
+/// same trace id, recoverable on demand over the wire via `DumpReq`.
 #[test]
 fn traced_flight_spans_sink_to_fold() {
+    traced_flight_at(1);
+}
+
+/// The same flight through a two-shard plan: the hops must not depend
+/// on how many fold workers the collector runs.
+#[test]
+fn traced_flight_spans_sink_to_fold_at_two_shards() {
+    traced_flight_at(2);
+}
+
+fn traced_flight_at(shards: u32) {
     let dir = TempDir::new("flight-e2e").unwrap();
-    let cfg = CollectorConfig::new(1).with_wal(WalConfig::new(dir.path()));
+    let cfg = CollectorConfig::new(1)
+        .with_shards(shards)
+        .with_wal(WalConfig::new(dir.path()));
     let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
     let addr = handle.local_addr();
 
@@ -133,7 +146,7 @@ fn traced_flight_spans_sink_to_fold() {
     for s in [stage::DECODED, stage::JOURNALED, stage::FOLDED] {
         assert!(
             got.contains(&s),
-            "flight {want:#x} is missing stage {} (got {got:?})",
+            "shards={shards}: flight {want:#x} is missing stage {} (got {got:?})",
             stage::name(s)
         );
     }
@@ -263,8 +276,20 @@ fn repair_trace_stitches_across_the_federation() {
 /// gate-anomaly marker chained to the repair's trace.
 #[test]
 fn diverged_gate_verdict_freezes_one_dump() {
+    diverged_gate_dump_at(1);
+}
+
+/// The same anomaly dump from a two-shard plan's coordinator.
+#[test]
+fn diverged_gate_verdict_freezes_one_dump_at_two_shards() {
+    diverged_gate_dump_at(2);
+}
+
+fn diverged_gate_dump_at(shards: u32) {
     let dir = TempDir::new("flight-diverged").unwrap();
-    let cfg = CollectorConfig::new(1).with_wal(WalConfig::new(dir.path()));
+    let cfg = CollectorConfig::new(1)
+        .with_shards(shards)
+        .with_wal(WalConfig::new(dir.path()));
     let handle = Collector::start(cfg, "127.0.0.1:0").expect("bind loopback");
 
     let rid = 0xd1f_f00d;
@@ -284,10 +309,14 @@ fn diverged_gate_verdict_freezes_one_dump() {
                 .map(|m| m.flight.dumps_written() >= 1)
                 .unwrap_or(false)
         }),
-        "the DIVERGED verdict never froze a dump"
+        "shards={shards}: the DIVERGED verdict never froze a dump"
     );
     let m = handle.metrics().expect("metrics on");
-    assert_eq!(m.flight.dumps_written(), 1, "exactly one dump per anomaly");
+    assert_eq!(
+        m.flight.dumps_written(),
+        1,
+        "shards={shards}: exactly one dump per anomaly"
+    );
     assert_eq!(m.flight.last_reason(), Some("diverged".to_string()));
 
     let dumps: Vec<String> = std::fs::read_dir(dir.path())

@@ -1,12 +1,15 @@
 //! Sharded-fold equivalence and durability tests.
 //!
-//! The single-merger fold (`--shards 1`) is the byte-for-byte oracle:
-//! every shard count must reproduce its events, HBG edge multiset,
-//! snapshot verdicts, wait accounting, and assembled data plane on the
-//! same trace. The WAL side gets the same treatment: an N-series log
-//! must replay to the same state whether recovered with 1 thread or N,
-//! and the group-commit protocol must keep "acked ⇒ durable" honest
-//! even when the sync thread dies mid-run.
+//! Every shard count runs the same fold engine, so the independent
+//! oracle is the in-process monolithic [`IngestPipeline`] over the same
+//! trace: every shard count must reproduce its HBG edge multiset,
+//! per-rule edge counts, snapshot verdict, assembled data plane, and
+//! folded event count. Shard counts must also agree with one another on
+//! the schedule-dependent wait accounting. The WAL side gets the same
+//! treatment: an N-series log must replay to the same state whether
+//! recovered with 1 thread or N, a WAL directory refuses a restart under
+//! a different shard count, and the group-commit protocol must keep
+//! "acked ⇒ durable" honest even when the sync thread dies mid-run.
 
 use cpvr_collector::collector::{Collector, CollectorConfig, CollectorHandle, CollectorReport};
 use cpvr_collector::pipeline::{IngestPipeline, PipelineConfig};
@@ -60,6 +63,56 @@ fn events_for(events: &[IoEvent], router: RouterId) -> Vec<IoEvent> {
         .collect();
     mine.sort_by_key(|e| (e.time, e.id));
     mine
+}
+
+/// The fault-free monolithic fold of the whole trace.
+fn reference_pipeline(events: &[IoEvent]) -> IngestPipeline {
+    let mut p = IngestPipeline::new(PipelineConfig::new(N_ROUTERS));
+    for e in events {
+        p.ingest(e);
+    }
+    p.advance(SimTime::MAX);
+    p
+}
+
+/// A collector's final fold against the monolithic reference.
+fn assert_matches_reference(got: &CollectorReport, reference: &IngestPipeline, shards: u32) {
+    // The per-rule offer gauges sum every builder of every shard.
+    let snap = got.metrics.as_ref().expect("metrics on");
+    for (rule, n) in reference.builder().edge_counts() {
+        assert_eq!(
+            snap.gauge("cpvr_hbg_edges_offered", &[("rule", rule)]),
+            Some(*n as i64),
+            "shards={shards}: offered-edge gauge for {rule}"
+        );
+    }
+    let got = &got.pipeline;
+    assert_eq!(got.events(), reference.events(), "shards={shards}");
+    assert_eq!(
+        got.processed(),
+        reference.builder().processed(),
+        "shards={shards}: folded event count vs reference"
+    );
+    assert_eq!(
+        got.canonical_edges(),
+        reference.builder().hbg().canonical_edges(),
+        "shards={shards}: HBG vs reference"
+    );
+    assert_eq!(
+        &got.edge_counts(),
+        reference.builder().edge_counts(),
+        "shards={shards}: per-rule edge counts vs reference"
+    );
+    assert_eq!(
+        got.status(),
+        reference.status(),
+        "shards={shards}: verdict vs reference"
+    );
+    assert_eq!(
+        dataplane_fingerprint(got.dataplane()),
+        dataplane_fingerprint(reference.tracker().dataplane()),
+        "shards={shards}: data plane vs reference"
+    );
 }
 
 /// Streams the whole trace in *phases*: every connection sends and
@@ -166,9 +219,10 @@ fn stream_trace(handle: &CollectorHandle, events: &[IoEvent]) {
 }
 
 /// The identity that makes `--shards N` safe to deploy: on the same
-/// trace, every shard count produces the single-merger state — down to
-/// the §4.3 wait counters, which only compare under a deterministic
-/// barrier schedule (hence the phased streaming).
+/// trace, every shard count produces the monolithic reference's state,
+/// and every shard count agrees with the one-shard plan down to the
+/// §4.3 wait counters, which only compare under a deterministic barrier
+/// schedule (hence the phased streaming).
 #[test]
 fn sharded_fold_is_equivalent_across_shard_counts() {
     // Syslog-skewed capture: records reach the verifier tens of
@@ -176,8 +230,10 @@ fn sharded_fold_is_equivalent_across_shard_counts() {
     // genuinely cut conversations open and the tracker issues WaitFor.
     let events = sample_events_with(CaptureProfile::syslog(), 17);
     assert!(events.len() > 100, "scenario should produce a real trace");
+    let reference = reference_pipeline(&events);
     let base = run_phased(&events, 1);
     assert_eq!(base.pipeline.shards(), 1);
+    assert_matches_reference(&base, &reference, 1);
     assert!(
         base.pipeline.wait_stats().0 > 0,
         "the stepped schedule should issue real WaitFor verdicts, \
@@ -186,6 +242,7 @@ fn sharded_fold_is_equivalent_across_shard_counts() {
     for shards in [2u32, 4] {
         let got = run_phased(&events, shards);
         assert_eq!(got.pipeline.shards(), shards);
+        assert_matches_reference(&got, &reference, shards);
         assert_eq!(got.stats.events, base.stats.events, "shards={shards}");
         assert_eq!(
             got.pipeline.events(),
@@ -414,4 +471,58 @@ fn group_commit_survives_per_shard_segment_rotation() {
         dataplane_fingerprint(recovered.tracker().dataplane()),
         dataplane_fingerprint(live.pipeline.dataplane())
     );
+}
+
+/// A WAL directory refuses a restart under a different shard count:
+/// recovery takes the minimum over series of each series' last
+/// watermark, so a series the new plan never appends to would pin every
+/// later recovery at its final watermark. The refusal names what it
+/// found and what the plan writes, and leaves the directory intact for
+/// the original plan.
+#[test]
+fn restart_under_a_different_shard_count_is_rejected() {
+    let events = sample_events(31);
+    for (before, after) in [(4u32, 2u32), (1, 2)] {
+        let dir = TempDir::new("reshard").unwrap();
+        let cfg = |shards: u32| {
+            CollectorConfig::new(N_ROUTERS)
+                .with_shards(shards)
+                .with_wal(WalConfig::new(dir.path()))
+        };
+        let handle = Collector::start(cfg(before), "127.0.0.1:0").expect("bind loopback");
+        stream_trace(&handle, &events);
+        handle.shutdown().expect("clean shutdown");
+
+        let err = match Collector::start(cfg(after), "127.0.0.1:0") {
+            Err(e) => e,
+            Ok(h) => {
+                let wm = h.recovery().and_then(|r| r.watermark);
+                let _ = h.shutdown();
+                panic!("{before}->{after}: restart was accepted (recovered watermark {wm:?})");
+            }
+        };
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidInput,
+            "{before}->{after}: {err}"
+        );
+        let msg = err.to_string();
+        let found = if before == 1 {
+            "wal-NNNNNNNN".to_string()
+        } else {
+            format!("wal-s{}-NNNNNNNN", before - 1)
+        };
+        assert!(msg.contains(&found), "{before}->{after}: {msg}");
+        assert!(
+            msg.contains(&format!("{after}-shard plan")),
+            "{before}->{after}: {msg}"
+        );
+
+        // Untouched: the original plan still recovers the whole stream.
+        let handle = Collector::start(cfg(before), "127.0.0.1:0").expect("original plan restarts");
+        let rec = handle.recovery().expect("wal configured").clone();
+        assert_eq!(rec.events_replayed, events.len(), "{before}->{after}");
+        assert_eq!(rec.watermark, Some(SimTime::MAX), "{before}->{after}");
+        handle.shutdown().expect("clean shutdown");
+    }
 }

@@ -235,6 +235,12 @@ impl HbgBuilder {
         self.watermark.unwrap_or(SimTime::ZERO)
     }
 
+    /// Consumes the builder, keeping only its graph (the rest of the
+    /// sweep state is freed rather than copied).
+    pub fn into_hbg(self) -> Hbg {
+        self.g
+    }
+
     /// How many events have been folded into the graph.
     pub fn processed(&self) -> usize {
         self.processed

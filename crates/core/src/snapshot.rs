@@ -742,6 +742,11 @@ impl TrackerSlice {
     pub fn dataplane(&self) -> &DataPlane {
         &self.dp
     }
+
+    /// Consumes the slice, keeping only its data plane.
+    pub fn into_dataplane(self) -> DataPlane {
+        self.dp
+    }
 }
 
 /// Assembles the FIB state from the FIB events that arrived by `horizon`
